@@ -33,8 +33,7 @@ import time
 import pytest
 
 from common import record, run_once
-from repro.core import verify
-from repro.core.api import VerifierOptions
+from repro import Session, VerifierOptions
 from repro.core.faults import FaultPlan, FaultSpec, installed
 from repro.lang import get_program
 
@@ -78,7 +77,7 @@ def run_with_jobs(name, jobs, refiner="path-invariant", incremental=True, **kw):
     options = VerifierOptions(
         refiner=refiner, jobs=jobs, incremental=incremental, **kw
     )
-    return verify(get_program(name), options=options)
+    return Session(options).run(get_program(name))
 
 
 def _timed(name, jobs, **kw):

@@ -8,15 +8,15 @@ fact per unwinding and keeps producing longer counterexamples.
 import pytest
 
 from common import record, run_once
-from repro.core import Verdict, verify
+from repro import Session, VerifierOptions
+from repro.core import Verdict
 from repro.lang import get_program
 
 
 def test_initcheck_with_path_invariants(benchmark):
     program = get_program("initcheck")
-    result = run_once(
-        benchmark, verify, program, refiner="path-invariant", max_refinements=3, max_art_nodes=80
-    )
+    options = VerifierOptions(refiner="path-invariant", max_refinements=3, max_nodes=80)
+    result = run_once(benchmark, Session(options).run, program)
     quantified = sum(
         1
         for location in result.precision.locations()
@@ -38,9 +38,8 @@ def test_initcheck_with_path_invariants(benchmark):
 
 def test_initcheck_with_path_formula_baseline(benchmark):
     program = get_program("initcheck")
-    result = run_once(
-        benchmark, verify, program, refiner="path-formula", max_refinements=3, max_art_nodes=80
-    )
+    options = VerifierOptions(refiner="path-formula", max_refinements=3, max_nodes=80)
+    result = run_once(benchmark, Session(options).run, program)
     lengths = [r.counterexample_length for r in result.iterations if r.counterexample_length]
     record(benchmark, verdict=result.verdict, counterexample_lengths=lengths)
     assert result.verdict == Verdict.UNKNOWN

@@ -11,7 +11,8 @@ fast subset of the suite under both refiners and reports who proves what.
 import pytest
 
 from common import record, run_once
-from repro.core import Verdict, verify
+from repro import Session, VerifierOptions
+from repro.core import Verdict
 from repro.lang import PROGRAMS, get_program
 
 #: A fast, representative subset of the suite (the full list is in
@@ -22,7 +23,9 @@ BUGGY = ["simple_unsafe", "array_init_buggy"]
 
 @pytest.mark.parametrize("name", SUITE)
 def test_suite_safe_programs(benchmark, name):
-    result = run_once(benchmark, verify, get_program(name), max_refinements=4)
+    result = run_once(
+        benchmark, Session(VerifierOptions(max_refinements=4)).run, get_program(name)
+    )
     record(benchmark, verdict=result.verdict, refinements=result.num_refinements)
     assert result.verdict == Verdict.SAFE
     assert PROGRAMS[name].expected_safe
@@ -30,7 +33,9 @@ def test_suite_safe_programs(benchmark, name):
 
 @pytest.mark.parametrize("name", BUGGY)
 def test_suite_buggy_programs(benchmark, name):
-    result = run_once(benchmark, verify, get_program(name), max_refinements=4)
+    result = run_once(
+        benchmark, Session(VerifierOptions(max_refinements=4)).run, get_program(name)
+    )
     record(benchmark, verdict=result.verdict)
     assert result.verdict == Verdict.UNSAFE
     assert not PROGRAMS[name].expected_safe
@@ -52,9 +57,8 @@ def test_baseline_on_suite(benchmark):
     def run_all():
         verdicts = {}
         for name in expected_divergent:
-            verdicts[name] = verify(
-                get_program(name), refiner="path-formula", max_refinements=3
-            ).verdict
+            options = VerifierOptions(refiner="path-formula", max_refinements=3)
+            verdicts[name] = Session(options).run(get_program(name)).verdict
         return verdicts
 
     verdicts = run_once(benchmark, run_all)

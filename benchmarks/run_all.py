@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the ``bench_e*`` experiment suite and emit ``BENCH_pr10.json``.
+"""Run the ``bench_e*`` experiment suite and emit the next ``BENCH_prN.json``.
 
 Ten data sections feed the perf trajectory (``benchmarks/trend_diff.py``
 diffs the engine, parallel, fuzz, service and chaos sections of
@@ -54,15 +54,18 @@ consecutive snapshots in CI):
 
 Usage::
 
-    python benchmarks/run_all.py                  # full run, writes BENCH_pr10.json
+    python benchmarks/run_all.py                  # full run, writes BENCH_pr<N+1>.json
     python benchmarks/run_all.py --skip-pytest    # direct sections only (fast)
     python benchmarks/run_all.py -o out.json
+
+``N`` is the newest committed snapshot (see :func:`default_output`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -76,6 +79,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import Session, VerifierOptions  # noqa: E402  (path set up above)
 from repro.core import PortfolioEngine  # noqa: E402
 from repro.lang import get_source  # noqa: E402
+import trend_diff  # noqa: E402
 
 #: Programs of the engine section, with per-program refinement budgets (the
 #: divergent ones are capped where rounds get solver-expensive).
@@ -737,11 +741,38 @@ def run_chaos_section() -> list[dict]:
     return rows
 
 
+def default_output() -> Path:
+    """``BENCH_pr<N+1>.json`` in the repo root, where ``BENCH_prN.json`` is the
+    newest snapshot git tracks (in :func:`trend_diff.bench_files` order).
+
+    Untracked snapshots are skipped, so a rerun overwrites its own output
+    instead of numbering past it; outside a git checkout every snapshot on
+    disk counts.
+    """
+    try:
+        tracked = set(
+            subprocess.run(
+                ["git", "ls-files", "BENCH_*.json"],
+                cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+            ).stdout.split()
+        )
+    except (OSError, subprocess.CalledProcessError):
+        tracked = None
+    newest = 0
+    for path in trend_diff.bench_files(REPO_ROOT):
+        match = re.fullmatch(r"BENCH_pr(\d+)\.json", path.name)
+        if match and (tracked is None or path.name in tracked):
+            newest = int(match.group(1))
+    return REPO_ROOT / f"BENCH_pr{newest + 1}.json"
+
+
 def main(argv=None) -> int:
+    output = default_output()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--output", "-o", default=str(REPO_ROOT / "BENCH_pr10.json"),
-        help="where to write the JSON report (default: repo root BENCH_pr10.json)",
+        "--output", "-o", default=str(output),
+        help=f"where to write the JSON report (default: repo root {output.name}, "
+        "one past the newest committed snapshot)",
     )
     parser.add_argument(
         "--skip-pytest", action="store_true",

@@ -10,7 +10,7 @@ Run with:  python examples/array_verification.py  [program ...]
 
 import sys
 
-from repro import verify
+from repro import Session, VerifierOptions
 from repro.lang import get_program, list_programs
 
 DEFAULT_PROGRAMS = ["initcheck", "array_init_const", "array_init_buggy"]
@@ -18,12 +18,13 @@ DEFAULT_PROGRAMS = ["initcheck", "array_init_const", "array_init_buggy"]
 
 def main() -> None:
     names = sys.argv[1:] or DEFAULT_PROGRAMS
+    options = VerifierOptions(max_refinements=4)
     for name in names:
         if name not in list_programs():
             print(f"unknown program {name!r}; available: {', '.join(list_programs())}")
             continue
         print(f"=== {name} ===")
-        result = verify(get_program(name), max_refinements=4)
+        result = Session(options).run(get_program(name))
         print(result.summary())
         if result.is_unsafe and result.counterexample is not None:
             inputs = result.counterexample.witness_inputs(result.program.variables)

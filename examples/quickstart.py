@@ -4,7 +4,7 @@
 Run with:  python examples/quickstart.py
 """
 
-from repro import Session, VerifierOptions, verify
+from repro import Session, VerifierOptions
 from repro.core import Budget, VerificationEngine
 
 SOURCE = """
@@ -23,8 +23,8 @@ void double_counter(int n) {
 
 
 def main() -> None:
-    print("One-call API: verify() with path-invariant refinement ...")
-    result = verify(SOURCE, options=VerifierOptions(max_refinements=5))
+    print("One call: Session(...).run() with path-invariant refinement ...")
+    result = Session(VerifierOptions(max_refinements=5)).run(SOURCE)
     print(result.summary())
     print()
     print("Predicates discovered per location:")
@@ -78,17 +78,16 @@ def main() -> None:
 
     print()
     print("For comparison, the classic path-formula refinement on the same program:")
-    baseline = verify(SOURCE, options=VerifierOptions(refiner="path-formula", max_refinements=3))
+    baseline = Session(VerifierOptions(refiner="path-formula", max_refinements=3)).run(SOURCE)
     print(baseline.summary())
     lengths = [r.counterexample_length for r in baseline.iterations if r.counterexample_length]
     print(f"counterexample lengths per iteration: {lengths} (the loop is being unrolled)")
 
     print()
     print("The portfolio picks the refiner for you (and demotes a diverging one):")
-    portfolio = verify(
-        SOURCE,
-        options=VerifierOptions(refiner="portfolio", portfolio_mode="round-robin"),
-    )
+    portfolio = Session(
+        VerifierOptions(refiner="portfolio", portfolio_mode="round-robin")
+    ).run(SOURCE)
     print(portfolio.summary())
     print(
         f"  -> winner: {portfolio.winner}; per-arm divergence verdicts: "

@@ -3,12 +3,11 @@
 The top-level package re-exports the public API:
 
 * :class:`repro.Session` / :class:`repro.VerifierOptions` /
-  :class:`repro.VerificationTask` — the typed task/session API: validated
-  options, reusable verification sessions with shared solver caches, and
-  warm-start precision transfer across tasks and process pools;
-* :func:`repro.verify` — the one-call entry point (a thin wrapper over a
-  session): verify the assertions of a mini-C program with CEGAR, using
-  path programs and path invariants for abstraction refinement;
+  :class:`repro.VerificationTask` — the one way to run the verifier:
+  ``Session(VerifierOptions(...)).run(program)`` verifies the assertions of
+  a mini-C program with CEGAR, using path programs and path invariants for
+  abstraction refinement.  Options are validated, sessions share solver
+  caches, and precisions warm-start later tasks across process pools;
 * :mod:`repro.lang` — the mini-C front end and the built-in benchmark suite;
 * :mod:`repro.core` — path programs, predicate abstraction, CEGAR;
 * :mod:`repro.invgen` — constraint-based invariant synthesis (templates,
@@ -19,8 +18,6 @@ The top-level package re-exports the public API:
 * :mod:`repro.smt` — the exact decision procedures everything is built on.
 """
 
-from .core.verifier import verify
-from .core.cegar import CegarResult, PortfolioResult, Result, Verdict
 from .core.api import (
     PrecisionStore,
     Session,
@@ -28,18 +25,17 @@ from .core.api import (
     VerifierOptions,
     program_fingerprint,
 )
-from .core.engine import RESULT_SCHEMA_VERSION, Budget
+from .core.engine import RESULT_SCHEMA_VERSION, Budget, PortfolioResult, Result, Verdict
 from .core.supervision import RetryPolicy, Supervisor
 from .core.faults import FaultPlan, FaultSpec
 from .lang.programs import PROGRAMS, get_program, get_source, list_programs
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 # After __version__: the daemon's health endpoint reports it.
 from .serve import ServiceClient, ServiceConfig, ServiceError, VerificationService
 
 __all__ = [
-    "verify",
     "Session",
     "VerifierOptions",
     "VerificationTask",
@@ -47,7 +43,6 @@ __all__ = [
     "program_fingerprint",
     "Budget",
     "Result",
-    "CegarResult",
     "PortfolioResult",
     "RESULT_SCHEMA_VERSION",
     "Verdict",

@@ -64,7 +64,7 @@ from .core.engine import (
     Verdict,
 )
 from .core.predabs import FRONTIER_NAMES
-from .core.verifier import ENGINE_REFINER_NAMES
+from .core.refiners import ENGINE_REFINER_NAMES
 from .lang.programs import PROGRAMS
 from .serve.client import DEFAULT_PORT as _DEFAULT_SERVE_PORT
 from .testgen.differential import ORACLES as _ORACLE_NAMES

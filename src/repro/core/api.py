@@ -1,6 +1,6 @@
-"""The typed task/session API — the stable public surface of the verifier.
+"""The typed task/session API — the one public way to run the verifier.
 
-Three first-class objects replace the historical kwarg funnel:
+Three first-class objects:
 
 * :class:`VerifierOptions` — every knob of a verification run as one frozen,
   validated dataclass, with ``to_dict``/``from_dict`` round-tripping and
@@ -21,11 +21,7 @@ Three first-class objects replace the historical kwarg funnel:
 Results come back as the unified :class:`~repro.core.engine.Result`
 hierarchy, whose :meth:`~repro.core.engine.Result.to_json` document
 (versioned by :data:`~repro.core.engine.RESULT_SCHEMA_VERSION`) is shared by
-the CLI, :func:`~repro.core.engine.verify_many` and the benchmark harness.
-
-The historical entry points (:func:`repro.verify`,
-:class:`~repro.core.cegar.CegarLoop`, ``verify_many``) are thin
-compatibility wrappers over this module.
+the CLI, :meth:`Session.run_many` and the benchmark harness.
 
 Quickstart::
 
@@ -49,7 +45,7 @@ import pickle
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 try:  # advisory file locking for the disk-backed store (POSIX only)
     import fcntl
@@ -75,7 +71,7 @@ from .engine import (
     error_doc,
 )
 from .predabs import FRONTIER_NAMES, Precision
-from .refiners import Refiner
+from .refiners import ENGINE_REFINER_NAMES, REFINER_NAMES, Refiner, make_refiner
 
 __all__ = [
     "VerifierOptions",
@@ -181,8 +177,6 @@ class VerifierOptions:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        from .verifier import ENGINE_REFINER_NAMES, REFINER_NAMES
-
         if not isinstance(self.portfolio_refiners, tuple):
             object.__setattr__(
                 self, "portfolio_refiners", tuple(self.portfolio_refiners)
@@ -304,35 +298,6 @@ class VerifierOptions:
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a table/object of options")
         return cls.from_dict(data)
-
-
-def resolve_legacy_options(
-    entry: str,
-    options: Optional[VerifierOptions],
-    legacy: Mapping[str, Any],
-    build: Callable[[], VerifierOptions],
-) -> VerifierOptions:
-    """The shared deprecation shim behind ``verify``/``verify_many``.
-
-    ``options=`` and the superseded tuning kwargs are mutually exclusive;
-    passing any of the latter emits one ``DeprecationWarning`` naming the
-    entry point, then ``build()`` translates them into options.
-    """
-    if options is not None:
-        if legacy:
-            raise ValueError(
-                "pass either options= or the legacy keyword arguments, not both "
-                f"(got options and {sorted(legacy)})"
-            )
-        return options
-    if legacy:
-        warnings.warn(
-            f"{entry}({', '.join(sorted(legacy))}=...) keyword tuning is "
-            "deprecated; pass options=VerifierOptions(...) or use repro.Session",
-            DeprecationWarning,
-            stacklevel=3,  # resolve_legacy_options -> shim -> caller
-        )
-    return build()
 
 
 # ----------------------------------------------------------------------
@@ -883,18 +848,15 @@ class Session:
         program: Union[str, FunctionDef, Program],
         opts: VerifierOptions,
         refiner: Optional[Refiner] = None,
-        strategy: Any = None,
     ) -> VerificationEngine:
         """One construction path for engines sharing this session's checker."""
-        from .verifier import make_refiner
-
         if refiner is None:
             refiner = make_refiner(opts.refiner, self.checker)
         return VerificationEngine(
             program,
             refiner=refiner,
             checker=self.checker,
-            strategy=opts.strategy if strategy is None else strategy,
+            strategy=opts.strategy,
             budget=opts.budget(),
             incremental=opts.incremental,
             max_predicates_per_location=opts.max_predicates_per_location,

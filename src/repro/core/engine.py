@@ -16,9 +16,9 @@ Per-iteration statistics record how much work was reused versus recomputed
 (`nodes reused`, `post decisions`, repair counters), which is what the
 ``bench_e8`` benchmark tracks over time.
 
-The module also hosts the batch layer: :func:`verify_many` runs a corpus of
-programs concurrently on a process pool with per-task budgets and returns
-machine-readable results (wired to the ``python -m repro`` CLI).
+The module also hosts :class:`PortfolioEngine` and the process-pool workers
+behind :meth:`repro.core.api.Session.run_many` and the portfolio race; both
+return the versioned JSON document of :meth:`Result.to_json`.
 """
 
 from __future__ import annotations
@@ -41,14 +41,19 @@ from .predabs import (
     ReachabilityOutcome,
     make_frontier,
 )
-from .refiners import PathInvariantRefiner, Refiner, RefinementOutcome
+from .refiners import (
+    DivergenceMonitor,
+    PathInvariantRefiner,
+    RefinementOutcome,
+    Refiner,
+    make_refiner,
+)
 
 __all__ = [
     "Verdict",
     "Budget",
     "IterationRecord",
     "Result",
-    "CegarResult",
     "RESULT_SCHEMA_VERSION",
     "VerificationEngine",
     "PortfolioEngine",
@@ -56,8 +61,6 @@ __all__ = [
     "PORTFOLIO_REFINERS",
     "PORTFOLIO_MODES",
     "STRATEGY_NAMES",
-    "verify_many",
-    "result_to_dict",
 ]
 
 #: The exploration strategies the engine accepts by name.
@@ -129,12 +132,11 @@ class IterationRecord:
 class Result:
     """Final outcome of a verification run (the unified result type).
 
-    Every entry point — :func:`repro.verify`, :class:`VerificationEngine`,
-    :class:`PortfolioEngine`, :class:`repro.core.api.Session` — produces a
-    ``Result`` (or its :class:`PortfolioResult` subclass); the historical
-    name ``CegarResult`` is an alias.  :meth:`to_json` renders the versioned
-    machine-readable document shared by the CLI, ``verify_many`` and the
-    benchmark harness.
+    Every entry point — :class:`VerificationEngine`, :class:`PortfolioEngine`,
+    :class:`repro.core.api.Session` — produces a ``Result`` (or its
+    :class:`PortfolioResult` subclass).  :meth:`to_json` renders the versioned
+    machine-readable document shared by the CLI, ``Session.run_many`` and
+    the benchmark harness.
     """
 
     verdict: str
@@ -313,10 +315,6 @@ class Result:
         return payload
 
 
-#: Historical name of :class:`Result`, kept for compatibility.
-CegarResult = Result
-
-
 class VerificationEngine:
     """Counterexample-guided abstraction refinement over a persistent ART."""
 
@@ -372,7 +370,7 @@ class VerificationEngine:
         self._precision: Optional[Precision] = None
         self._iterations: list[IterationRecord] = []
         self._elapsed = 0.0
-        self._last_result: Optional[CegarResult] = None
+        self._last_result: Optional[Result] = None
 
     # ------------------------------------------------------------------
     @property
@@ -387,7 +385,7 @@ class VerificationEngine:
 
     def run(
         self, initial_precision: Optional[Precision] = None, resume: bool = False
-    ) -> CegarResult:
+    ) -> Result:
         """Drive the CEGAR loop to a verdict (or a tripped budget).
 
         With ``resume=True`` the engine continues from its previous state —
@@ -463,7 +461,7 @@ class VerificationEngine:
         iterations: list[IterationRecord],
         limits: ExploreLimits,
         start: float,
-    ) -> CegarResult:
+    ) -> Result:
         while True:
             iteration_start = time.perf_counter()
             posts_before = self.art.post_decisions
@@ -569,7 +567,7 @@ class VerificationEngine:
         iterations: list[IterationRecord],
         start: float,
         reason: str = "",
-    ) -> CegarResult:
+    ) -> Result:
         engine_stats: dict[str, Any] = {
             "strategy": self.strategy_name,
             "incremental": self.incremental,
@@ -597,7 +595,7 @@ class VerificationEngine:
                 engine_stats["nodes_created"] = sum(r.nodes_created for r in iterations)
                 engine_stats["post_decisions"] = sum(r.post_decisions for r in iterations)
         self._elapsed += time.perf_counter() - start
-        result = CegarResult(
+        result = Result(
             verdict=verdict,
             program=self.program,
             iterations=iterations,
@@ -676,7 +674,7 @@ class _PortfolioArm:
         self.engine = engine
         self.monitor = monitor
         self.status = "active"
-        self.result: Optional[CegarResult] = None
+        self.result: Optional[Result] = None
         self._observed = 0
 
     def feed_monitor(self) -> None:
@@ -699,8 +697,7 @@ class PortfolioEngine:
     Two execution modes:
 
     * ``process`` — every refiner races at full speed in its own worker
-      process (the :func:`verify_many` machinery); the first *decided*
-      verdict (safe/unsafe) wins and the stragglers are cancelled after a
+      process; the first *decided* verdict (safe/unsafe) wins and the stragglers are cancelled after a
       short grace period.  Requires the program's source text (workers
       rebuild everything from primitives) and a working process pool.
     * ``round-robin`` — the in-process fallback: each refiner keeps a
@@ -749,8 +746,6 @@ class PortfolioEngine:
         self.program = program
         if not refiners:
             raise ValueError("a portfolio needs at least one refiner")
-        from .verifier import make_refiner
-
         for entry in refiners:  # fail fast on unknown refiner names
             if isinstance(entry, str):
                 make_refiner(entry)
@@ -810,9 +805,6 @@ class PortfolioEngine:
     # In-process round-robin with divergence-driven demotion
     # ------------------------------------------------------------------
     def _run_round_robin(self) -> PortfolioResult:
-        from .refiners import DivergenceMonitor
-        from .verifier import make_refiner
-
         start = time.perf_counter()
         deadline = (
             start + self.budget.max_seconds if self.budget.max_seconds is not None else None
@@ -1151,11 +1143,8 @@ def _run_portfolio_arm(payload: dict[str, Any]) -> dict[str, Any]:
     """Race worker: run one refiner at full speed and classify its trajectory.
 
     Module-level so it pickles; returns a JSON-serialisable document (the
-    full :class:`CegarResult` stays in this process).
+    full :class:`Result` stays in this process).
     """
-    from .refiners import DivergenceMonitor
-    from .verifier import make_refiner
-
     try:
         engine = VerificationEngine(
             payload["source"],
@@ -1173,7 +1162,7 @@ def _run_portfolio_arm(payload: dict[str, Any]) -> dict[str, Any]:
                 payload.get("max_predicates_per_location"),
             )
         result = engine.run(initial_precision=seed)
-        doc = result_to_dict(result, name=payload["name"])
+        doc = result.to_json(name=payload["name"])
         doc["refiner"] = payload["refiner"]
         if result.precision is not None and result.verdict in (
             Verdict.SAFE,
@@ -1211,11 +1200,6 @@ def _run_portfolio_arm(payload: dict[str, Any]) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # Batch verification
 # ----------------------------------------------------------------------
-def result_to_dict(result: Result, name: Optional[str] = None) -> dict[str, Any]:
-    """A JSON-serialisable view of a :class:`Result` (see :meth:`Result.to_json`)."""
-    return result.to_json(name=name)
-
-
 def error_doc(name: str, error: Exception) -> dict[str, Any]:
     """A schema-conformant error document for a task that never produced a
     :class:`Result` (parse failure, worker crash); keeps ``schema_version``
@@ -1269,8 +1253,6 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
             engine.checker.max_cache_entries = payload.get("max_cache_entries")
             # The refiner needs the engine's checker; build it here rather
             # than shipping one over.
-            from .verifier import make_refiner
-
             engine.refiner = make_refiner(payload["refiner"], engine.checker)
             seed = None
             if payload.get("seed"):
@@ -1280,7 +1262,7 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
                     engine.program, payload["seed"], cap
                 )
             result = engine.run(initial_precision=seed)
-        doc = result_to_dict(result, name=payload["name"])
+        doc = result.to_json(name=payload["name"])
         if (
             payload.get("ship_precision")
             and result.precision is not None
@@ -1295,90 +1277,3 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
     except Exception as error:  # pragma: no cover - defensive per-task isolation
         return error_doc(payload["name"], error)
 
-
-def _normalise_tasks(
-    tasks: Sequence[Union[str, tuple[str, str], dict[str, str]]]
-) -> list[dict[str, str]]:
-    """Accept builtin names, raw sources, (name, source) pairs or dicts."""
-    from ..lang.programs import PROGRAMS
-
-    normalised = []
-    for index, task in enumerate(tasks):
-        if isinstance(task, dict):
-            normalised.append({"name": task["name"], "source": task["source"]})
-        elif isinstance(task, tuple):
-            name, source = task
-            normalised.append({"name": name, "source": source})
-        elif task in PROGRAMS:
-            normalised.append({"name": task, "source": PROGRAMS[task].source})
-        else:
-            normalised.append({"name": f"task{index}", "source": task})
-    return normalised
-
-
-_UNSET: Any = object()
-
-
-def verify_many(
-    tasks: Sequence[Union[str, tuple[str, str], dict[str, str]]],
-    refiner: str = _UNSET,
-    strategy: str = _UNSET,
-    budget: Optional[Budget] = None,
-    incremental: bool = _UNSET,
-    jobs: Optional[int] = None,
-    options: Optional[Any] = None,
-) -> list[dict[str, Any]]:
-    """Verify a corpus of programs, optionally on a process pool.
-
-    A compatibility wrapper over :meth:`repro.core.api.Session.run_many`
-    (cold — every task starts from the empty precision, matching the
-    historical behaviour; use a :class:`~repro.core.api.Session` directly
-    for warm-started batches).  The superseded tuning kwargs (``refiner``,
-    ``strategy``, ``budget``, ``incremental``) still work but emit a
-    ``DeprecationWarning``; prefer ``options=``.
-
-    Parameters
-    ----------
-    tasks:
-        Built-in program names, raw mini-C sources, ``(name, source)`` pairs,
-        or ``{"name", "source"}`` dicts, freely mixed.
-    jobs:
-        Pool width.  ``None`` picks ``min(len(tasks), cpu_count)``; ``1``
-        (or a single task) runs sequentially in-process.  If the platform
-        refuses to spawn a pool (sandboxes without semaphores), the batch
-        silently degrades to sequential execution.
-
-    Returns one JSON-serialisable result dict per task, in input order
-    (see :meth:`Result.to_json` for the versioned schema).
-    """
-    from .api import Session, VerifierOptions, resolve_legacy_options
-
-    legacy = {
-        name: value
-        for name, value in (
-            ("refiner", refiner),
-            ("strategy", strategy),
-            ("incremental", incremental),
-        )
-        if value is not _UNSET
-    }
-    if budget is not None:
-        legacy["budget"] = budget
-
-    def build() -> VerifierOptions:
-        effective_budget = budget or Budget()
-        return VerifierOptions(
-            refiner=refiner if refiner is not _UNSET else "path-invariant",
-            strategy=strategy if strategy is not _UNSET else "bfs",
-            incremental=incremental if incremental is not _UNSET else True,
-            max_refinements=effective_budget.max_refinements,
-            max_nodes=effective_budget.max_nodes,
-            max_seconds=effective_budget.max_seconds,
-            max_solver_calls=effective_budget.max_solver_calls,
-        )
-
-    options = resolve_legacy_options("verify_many", options, legacy, build)
-    # This wrapper guarantees cold runs regardless of how the options were
-    # built; warm-started batches go through Session.run_many.
-    session = Session(options.replace(warm_start=False))
-    return session.run_many(_normalise_tasks(tasks), jobs=jobs)

@@ -37,6 +37,9 @@ __all__ = [
     "Refiner",
     "PathFormulaRefiner",
     "PathInvariantRefiner",
+    "REFINER_NAMES",
+    "ENGINE_REFINER_NAMES",
+    "make_refiner",
     "DivergenceVerdict",
     "DivergenceMonitor",
 ]
@@ -216,6 +219,28 @@ class PathInvariantRefiner(Refiner):
             synthesis=synthesis,
             pivot_locations=frozenset(pivots),
         )
+
+
+REFINER_NAMES = ("path-invariant", "path-formula")
+
+#: What ``VerifierOptions.refiner`` and the CLI accept: the concrete refiners
+#: plus the portfolio meta-strategy (which is engine-level, not a
+#: :class:`Refiner`).
+ENGINE_REFINER_NAMES = REFINER_NAMES + ("portfolio",)
+
+
+def make_refiner(name: str, checker: Optional[VcChecker] = None) -> Refiner:
+    """Construct a refiner by name (``path-invariant`` or ``path-formula``)."""
+    if name == "path-invariant":
+        return PathInvariantRefiner(checker)
+    if name == "path-formula":
+        return PathFormulaRefiner()
+    if name == "portfolio":
+        raise ValueError(
+            "'portfolio' is an engine-level strategy, not a refiner; use "
+            "VerifierOptions(refiner='portfolio') or PortfolioEngine directly"
+        )
+    raise ValueError(f"unknown refiner {name!r}; expected one of {REFINER_NAMES}")
 
 
 # ----------------------------------------------------------------------

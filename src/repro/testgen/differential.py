@@ -47,6 +47,7 @@ against a nondeterministic cutoff would report phantom mismatches.
 
 from __future__ import annotations
 
+import atexit
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,7 +55,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..core.api import VerifierOptions
 from ..core.engine import PortfolioEngine, Verdict, VerificationEngine
-from ..core.verifier import make_refiner
+from ..core.refiners import make_refiner
 from ..lang.ast import FunctionDef
 from ..lang.cfg import build_program
 from ..lang.parser import parse_function
@@ -314,8 +315,8 @@ def _oracle_portfolio(function, options):
 
 
 # One lazily started in-process daemon shared by every serve-oracle run
-# (per-program daemons would dominate fuzz wall-clock); reset by
-# shutdown_serve_oracle().
+# (per-program daemons would dominate fuzz wall-clock); stopped by
+# shutdown_serve_oracle(), at the latest when the interpreter exits.
 _SERVE_ENDPOINT = None
 
 
@@ -328,12 +329,14 @@ def _serve_endpoint():
         service = VerificationService(ServiceConfig(port=0, workers=2)).start()
         client = ServiceClient("127.0.0.1", service.port)
         _SERVE_ENDPOINT = (service, client)
+        # Without this the client's socket is only reclaimed by the garbage
+        # collector, which reports it as an unclosed-socket ResourceWarning.
+        atexit.register(shutdown_serve_oracle)
     return _SERVE_ENDPOINT
 
 
 def shutdown_serve_oracle() -> None:
-    """Stop the serve oracle's shared daemon (tests; otherwise it lives on a
-    daemon thread until process exit)."""
+    """Close the serve oracle's client and stop its shared daemon."""
     global _SERVE_ENDPOINT
     if _SERVE_ENDPOINT is not None:
         service, client = _SERVE_ENDPOINT

@@ -28,6 +28,8 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "timeout(seconds): override the per-test SIGALRM budget"
     )
+    # Deprecated API use fails the run instead of scrolling by as a warning.
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
 
 
 def _timeout_for(item) -> int:

@@ -1,15 +1,12 @@
 """Tests for the typed task/session API (repro.core.api).
 
-Four load-bearing properties:
+Three load-bearing properties:
 
 * **Options fidelity** — ``VerifierOptions`` validates at construction and
   round-trips losslessly through dicts and TOML/JSON files.
 * **Schema stability** — ``Result.to_json`` is versioned and its key set is
-  pinned by a golden test (the CLI, ``verify_many`` and the benchmark
+  pinned by a golden test (the CLI, ``Session.run_many`` and the benchmark
   harness all consume it).
-* **Shim equivalence** — the legacy ``verify(**old_kwargs)`` surface
-  produces the same verdicts and precisions as the explicit
-  ``Session``/``VerifierOptions`` path over the equivalence corpus.
 * **Warm-start soundness** — seeding a run from previously discovered
   predicates never changes a decided verdict, and a warm rerun does
   strictly less abstract-post work whenever the cold run refined.
@@ -26,21 +23,13 @@ from repro import (
     VerificationTask,
     VerifierOptions,
     program_fingerprint,
-    verify,
 )
-from repro.core import (
-    Budget,
-    CegarLoop,
-    CegarResult,
-    Precision,
-    RESULT_SCHEMA_VERSION,
-    Result,
-    Verdict,
-    verify_many,
-)
+from repro.core import RESULT_SCHEMA_VERSION, Budget, Precision, Verdict
 from repro.lang import get_program, get_source
 from repro.logic.formulas import eq, le
 from repro.logic.terms import LinExpr
+
+from test_engine import EQUIVALENCE_CORPUS
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +156,7 @@ class TestTaskAndFingerprint:
         assert session.task("forward").name == "forward"  # built-in lookup
         raw = session.task("void f(int x) { assert(x == x); }")
         assert raw.source is not None and raw.resolved().name == "f"
+        assert session.run(raw.source).verdict == Verdict.SAFE  # raw source text
         task = VerificationTask(get_program("lock_step"))
         assert session.task(task) is task
 
@@ -220,99 +210,12 @@ class TestResultSchema:
         self._check(doc, "safe")
         assert doc["portfolio"]["winner"] in ("path-invariant", "path-formula")
 
-    def test_result_alias_is_the_same_class(self):
-        assert CegarResult is Result
-
-
-# ----------------------------------------------------------------------
-# Compatibility shims
-# ----------------------------------------------------------------------
-#: Same corpus as tests/core/test_engine.py — the shim must agree with the
-#: explicit Session path pair for pair.
-SHIM_CORPUS = [
-    ("forward", "path-invariant"),
-    ("forward", "path-formula"),
-    ("initcheck", "path-invariant"),
-    ("double_counter", "path-invariant"),
-    ("double_counter", "path-formula"),
-    ("up_down", "path-formula"),
-    ("lock_step", "path-invariant"),
-    ("lock_step", "path-formula"),
-    ("simple_safe", "path-invariant"),
-    ("simple_unsafe", "path-invariant"),
-    ("simple_unsafe", "path-formula"),
-    ("diamond_safe", "path-invariant"),
-    ("forward_buggy", "path-invariant"),
-    ("array_init_buggy", "path-invariant"),
-    ("array_init_const", "path-invariant"),
-    ("array_copy", "path-invariant"),
-]
-
-
-class TestShimEquivalence:
-    @pytest.mark.parametrize("name,refiner", SHIM_CORPUS)
-    def test_verify_matches_session(self, name, refiner):
-        with pytest.warns(DeprecationWarning):
-            legacy = verify(get_program(name), refiner=refiner, max_refinements=4)
-        options = VerifierOptions(refiner=refiner, max_refinements=4)
-        modern = Session(options).run(get_program(name))
-        assert legacy.verdict == modern.verdict
-        assert legacy.precision.snapshot() == modern.precision.snapshot()
-
-    def test_verify_rejects_options_plus_legacy_kwargs(self):
-        with pytest.raises(ValueError, match="not both"):
-            verify(
-                get_program("lock_step"),
-                max_refinements=3,
-                options=VerifierOptions(),
-            )
-
-    def test_verify_refiner_kwarg_stays_first_class(self, recwarn):
-        """refiner= is the documented second positional: no deprecation."""
-        result = verify(get_program("lock_step"), "path-formula")
-        assert result.verdict == Verdict.SAFE
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-        # ...but it still conflicts with options=, which carries its own.
-        with pytest.raises(ValueError, match="not both"):
-            verify(
-                get_program("lock_step"),
-                refiner="path-formula",
-                options=VerifierOptions(),
-            )
-
-    def test_verify_options_path_does_not_warn(self, recwarn):
-        result = verify(
-            get_program("lock_step"), options=VerifierOptions(max_refinements=6)
-        )
-        assert result.verdict == Verdict.SAFE
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_verify_many_legacy_and_options(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = verify_many(
-                ["lock_step"], budget=Budget(max_refinements=4), jobs=1
-            )
-        modern = verify_many(
-            ["lock_step"], options=VerifierOptions(max_refinements=4), jobs=1
-        )
-        assert legacy[0]["verdict"] == modern[0]["verdict"] == "safe"
-        assert legacy[0]["schema_version"] == RESULT_SCHEMA_VERSION
-
-    def test_cegarloop_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="CegarLoop"):
-            loop = CegarLoop(get_program("lock_step"), max_refinements=6)
-        assert loop.run().verdict == Verdict.SAFE
-
 
 # ----------------------------------------------------------------------
 # Warm starts
 # ----------------------------------------------------------------------
 class TestWarmStart:
-    @pytest.mark.parametrize("name,refiner", SHIM_CORPUS)
+    @pytest.mark.parametrize("name,refiner", EQUIVALENCE_CORPUS)
     def test_seeded_precision_never_changes_the_verdict(self, name, refiner):
         """Warm-start soundness over the whole corpus, both refiners."""
         options = VerifierOptions(refiner=refiner, max_refinements=4)
@@ -532,14 +435,11 @@ class TestSessionScheduling:
         assert session.tasks_run == 3
         json.dumps(docs)
 
-    def test_verify_many_options_path_is_cold(self):
-        """The compatibility wrapper guarantees cold runs either way."""
+    def test_run_many_without_warm_start_is_cold(self):
+        """warm_start=False keeps every task of a batch cold."""
         source = get_source("lock_step")
-        docs = verify_many(
-            [("a", source), ("b", source)],
-            options=VerifierOptions(max_refinements=8),
-            jobs=1,
-        )
+        session = Session(VerifierOptions(max_refinements=8, warm_start=False))
+        docs = session.run_many([("a", source), ("b", source)], jobs=1)
         assert [doc["verdict"] for doc in docs] == ["safe", "safe"]
         assert docs[0]["post_decisions"] == docs[1]["post_decisions"]
         assert docs[1]["engine"]["session"]["warm_started"] is False
@@ -557,6 +457,28 @@ class TestSessionScheduling:
         )
         assert [doc["name"] for doc in docs] == ["lock_step", "inline", "strict"]
         assert all(doc["verdict"] == "safe" for doc in docs)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "lock_step",
+            get_program("lock_step"),
+            ("lock_step", get_source("lock_step")),
+            {"name": "lock_step", "source": get_source("lock_step")},
+            {"name": "lock_step", "source": get_source("lock_step"),
+             "options": {"max_refinements": 8}},
+            VerificationTask(get_source("lock_step"), name="lock_step"),
+        ],
+        ids=["name", "program", "pair", "dict", "dict-options", "task"],
+    )
+    def test_run_many_entry_matches_run(self, entry):
+        """Every batch entry form yields the document ``run`` would give."""
+        options = VerifierOptions(max_refinements=8, warm_start=False)
+        [doc] = Session(options).run_many([entry], jobs=1)
+        expected = Session(options).run(get_program("lock_step")).to_json("lock_step")
+        assert doc["schema_version"] == RESULT_SCHEMA_VERSION
+        for key in ("name", "verdict", "refinements", "predicates", "post_decisions"):
+            assert doc[key] == expected[key], key
 
     def test_session_statistics(self):
         session = Session()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Session, VerifierOptions
 from repro.core import (
     AbstractReachability,
     PathFormulaRefiner,
@@ -11,7 +12,6 @@ from repro.core import (
     analyze_counterexample,
     build_path_program,
     nested_blocks,
-    verify,
 )
 from repro.lang import Location, Program, Transition, get_program, program_from_source
 from repro.lang.commands import Assign, Assume, Skip
@@ -165,41 +165,44 @@ class TestVerify:
     """End-to-end CEGAR runs on the fast members of the suite."""
 
     def test_simple_safe(self):
-        assert verify(get_program("simple_safe")).verdict == Verdict.SAFE
+        assert Session().run(get_program("simple_safe")).verdict == Verdict.SAFE
 
     def test_simple_unsafe(self):
-        result = verify(get_program("simple_unsafe"))
+        result = Session().run(get_program("simple_unsafe"))
         assert result.verdict == Verdict.UNSAFE
         assert result.counterexample is not None
 
     def test_diamond_safe(self):
-        assert verify(get_program("diamond_safe")).verdict == Verdict.SAFE
+        assert Session().run(get_program("diamond_safe")).verdict == Verdict.SAFE
 
     def test_verify_from_source(self):
         source = "void f(int x) { assume(x >= 2); assert(x >= 1); }"
-        assert verify(source).verdict == Verdict.SAFE
+        assert Session().run(source).verdict == Verdict.SAFE
 
     def test_unknown_refiner_rejected(self):
         with pytest.raises(ValueError):
-            verify(get_program("simple_safe"), refiner="no-such-refiner")
+            VerifierOptions(refiner="no-such-refiner")
 
     @pytest.mark.slow
     def test_forward_is_proved_with_path_invariants(self):
-        result = verify(get_program("forward"), max_refinements=4)
+        result = Session(VerifierOptions(max_refinements=4)).run(get_program("forward"))
         assert result.verdict == Verdict.SAFE
 
     @pytest.mark.slow
     def test_forward_baseline_keeps_unrolling(self):
-        result = verify(get_program("forward"), refiner="path-formula", max_refinements=4)
+        options = VerifierOptions(refiner="path-formula", max_refinements=4)
+        result = Session(options).run(get_program("forward"))
         assert result.verdict == Verdict.UNKNOWN
         lengths = [r.counterexample_length for r in result.iterations if r.counterexample_length]
         assert lengths[-1] > lengths[0]
 
     @pytest.mark.slow
     def test_lock_step(self):
-        assert verify(get_program("lock_step"), max_refinements=4).verdict == Verdict.SAFE
+        result = Session(VerifierOptions(max_refinements=4)).run(get_program("lock_step"))
+        assert result.verdict == Verdict.SAFE
 
     @pytest.mark.slow
     def test_array_init_buggy_is_unsafe(self):
-        result = verify(get_program("array_init_buggy"), max_refinements=4)
+        options = VerifierOptions(max_refinements=4)
+        result = Session(options).run(get_program("array_init_buggy"))
         assert result.verdict == Verdict.UNSAFE

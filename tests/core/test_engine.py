@@ -15,19 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Session, VerificationTask, VerifierOptions
 from repro.core import (
     Budget,
-    CegarLoop,
     Precision,
     Verdict,
     VerificationEngine,
     make_frontier,
-    result_to_dict,
-    verify,
-    verify_many,
+    make_refiner,
 )
-from repro.core.verifier import make_refiner
-from repro.lang import get_program
+from repro.lang import get_program, get_source
 from repro.smt.vcgen import VcChecker
 
 #: (program, refiner) pairs that complete quickly under both engines.  The
@@ -54,15 +51,15 @@ EQUIVALENCE_CORPUS = [
 ]
 
 
+def run(name, **options):
+    """One cold run of a built-in program under the given options."""
+    return Session(VerifierOptions(**options)).run(get_program(name))
+
+
 def run_both(name, refiner="path-invariant", max_refinements=4, strategy="bfs"):
-    incremental = verify(
-        get_program(name), refiner=refiner, max_refinements=max_refinements,
-        strategy=strategy, incremental=True,
-    )
-    restart = verify(
-        get_program(name), refiner=refiner, max_refinements=max_refinements,
-        strategy=strategy, incremental=False,
-    )
+    options = dict(refiner=refiner, max_refinements=max_refinements, strategy=strategy)
+    incremental = run(name, incremental=True, **options)
+    restart = run(name, incremental=False, **options)
     return incremental, restart
 
 
@@ -96,7 +93,7 @@ class TestIncrementalRestartEquivalence:
         assert engine.art.validate(result.precision) == []
 
     def test_restart_mode_never_repairs(self):
-        result = verify(get_program("forward"), incremental=False)
+        result = run("forward", incremental=False)
         assert all(record.repair is None for record in result.iterations)
         assert result.engine_stats["incremental"] is False
 
@@ -105,7 +102,7 @@ class TestIncrementalReuse:
     @pytest.mark.parametrize("name", ["forward", "initcheck"])
     def test_refinement_reuses_nodes(self, name):
         """Post-refinement repair must retain ART nodes instead of rebuilding."""
-        result = verify(get_program(name), incremental=True)
+        result = run(name, incremental=True)
         assert result.verdict == Verdict.SAFE
         assert result.num_refinements > 0
         assert result.nodes_reused() > 0
@@ -119,13 +116,14 @@ class TestIncrementalReuse:
     def test_abstract_post_memo_serves_reexpansion(self):
         """Re-deriving an identical (state, transition, predicate) triple is a hit."""
         checker = VcChecker()
-        verify(get_program("lock_step"), checker=checker)
+        Session(checker=checker).run(get_program("lock_step"))
         stats = checker.statistics()
         assert stats["post_queries"] > 0
         # Run the same program again through the same checker: the ART-level
         # memo answers every abstract-post question without a triple check.
+        # A fresh session: the first one would warm-start from its own bank.
         before = checker.statistics()
-        verify(get_program("lock_step"), checker=checker)
+        Session(checker=checker).run(get_program("lock_step"))
         after = checker.statistics()
         new_queries = after["post_queries"] - before["post_queries"]
         new_hits = after["post_cache_hits"] - before["post_cache_hits"]
@@ -135,23 +133,22 @@ class TestIncrementalReuse:
 
 class TestBudgets:
     def test_node_budget_yields_unknown(self):
-        result = verify(get_program("forward"), max_art_nodes=3)
+        result = run("forward", max_nodes=3)
         assert result.verdict == Verdict.UNKNOWN
         assert "node budget" in result.reason
 
     def test_wallclock_budget_yields_unknown(self):
-        result = verify(get_program("initcheck"), max_seconds=0.0)
+        result = run("initcheck", max_seconds=0.0)
         assert result.verdict == Verdict.UNKNOWN
         assert "wall-clock" in result.reason
 
     def test_solver_budget_yields_unknown(self):
-        loop = CegarLoop(get_program("forward"), max_solver_calls=5)
-        result = loop.run()
+        result = run("forward", max_solver_calls=5)
         assert result.verdict == Verdict.UNKNOWN
         assert "solver budget" in result.reason
 
     def test_refinement_budget_yields_unknown(self):
-        result = verify(get_program("forward"), refiner="path-formula", max_refinements=2)
+        result = run("forward", refiner="path-formula", max_refinements=2)
         assert result.verdict == Verdict.UNKNOWN
         assert "budget" in result.reason
 
@@ -173,14 +170,14 @@ class TestStrategies:
     @pytest.mark.parametrize("strategy", ["bfs", "dfs", "error-distance"])
     @pytest.mark.parametrize("name", ["forward", "lock_step", "simple_unsafe"])
     def test_strategies_agree_on_verdicts(self, strategy, name):
-        result = verify(get_program(name), strategy=strategy)
+        result = run(name, strategy=strategy)
         expected = Verdict.UNSAFE if name.endswith("unsafe") else Verdict.SAFE
         assert result.verdict == expected
         assert result.engine_stats["strategy"] == strategy
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown exploration strategy"):
-            verify(get_program("forward"), strategy="a-star")
+            run("forward", strategy="a-star")
 
     def test_frontier_instance_accepted(self):
         frontier = make_frontier("dfs", get_program("lock_step"))
@@ -189,20 +186,42 @@ class TestStrategies:
 
 
 class TestVerifyCompatibility:
-    """``verify()`` keeps its original signature and behaviour."""
-
-    def test_positional_signature(self):
-        checker = VcChecker()
-        refiner = make_refiner("path-invariant", checker)
-        result = verify(get_program("lock_step"), refiner, 10, 2000, checker)
-        assert result.verdict == Verdict.SAFE
+    """Every input the session accepts besides a built-in program name."""
 
     def test_source_text_and_initial_precision(self):
         source = "void f(int x) { assume(x >= 1); assert(x >= 0); }"
-        result = verify(source)
+        assert Session().run(source).verdict == Verdict.SAFE
+        # A caller-supplied refiner instance and an empty seed precision.
+        checker = VcChecker()
+        task = VerificationTask(
+            get_program("lock_step"),
+            refiner=make_refiner("path-invariant", checker),
+            initial_precision=Precision(),
+        )
+        result = Session(checker=checker).run(task)
         assert result.verdict == Verdict.SAFE
-        loop = CegarLoop(get_program("lock_step"))
-        assert loop.run(Precision()).verdict == Verdict.SAFE
+        assert result.engine_stats["session"]["seeded_predicates"] == 0
+
+    @pytest.mark.parametrize("name,refiner", EQUIVALENCE_CORPUS)
+    def test_input_forms_agree(self, name, refiner):
+        """Program object, raw source text and a fully caller-built task
+        (own checker, own refiner instance, empty seed) run the same CEGAR
+        loop: same verdict, precision, refinements and post decisions."""
+        options = VerifierOptions(refiner=refiner, max_refinements=4)
+        baseline = Session(options).run(get_program(name))
+        from_source = Session(options).run(get_source(name))
+        checker = VcChecker()
+        task = VerificationTask(
+            get_program(name),
+            refiner=make_refiner(refiner, checker),
+            initial_precision=Precision(),
+        )
+        caller_built = Session(options, checker=checker).run(task)
+        for other in (from_source, caller_built):
+            assert other.verdict == baseline.verdict
+            assert other.precision.snapshot() == baseline.precision.snapshot()
+            assert other.num_refinements == baseline.num_refinements
+            assert other.post_decisions() == baseline.post_decisions()
 
 
 class TestBatch:
@@ -214,18 +233,18 @@ class TestBatch:
         json.dumps(results)  # the whole payload must be JSON-serialisable
 
     def test_sequential(self):
-        self._check(verify_many(self.TASKS, jobs=1))
+        self._check(Session().run_many(self.TASKS, jobs=1))
 
     def test_process_pool(self):
-        self._check(verify_many(self.TASKS, jobs=2))
+        self._check(Session().run_many(self.TASKS, jobs=2))
 
     def test_per_task_budgets(self):
-        results = verify_many(["forward"], budget=Budget(max_refinements=0), jobs=1)
+        session = Session(VerifierOptions(max_refinements=0))
+        results = session.run_many(["forward"], jobs=1)
         assert results[0]["verdict"] == "unknown"
 
-    def test_result_to_dict_shape(self):
-        result = verify(get_program("simple_unsafe"))
-        payload = result_to_dict(result)
+    def test_to_json_shape(self):
+        payload = run("simple_unsafe").to_json()
         assert payload["verdict"] == "unsafe"
         assert payload["witness"]
         assert payload["per_iteration"][0]["counterexample_feasible"] is True

@@ -32,7 +32,7 @@ FAST_CORPUS = [
 
 
 def run_engine(name, refiner="path-invariant", jobs=1, **kwargs):
-    from repro.core.verifier import make_refiner
+    from repro.core.refiners import make_refiner
 
     checker = VcChecker()
     engine = VerificationEngine(

@@ -21,9 +21,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import Session, VerificationTask, VerifierOptions
 from repro.core import (
     Budget,
-    CegarLoop,
     DivergenceMonitor,
     PathFormulaRefiner,
     PathInvariantRefiner,
@@ -33,9 +33,6 @@ from repro.core import (
     Verdict,
     VerificationEngine,
     make_refiner,
-    result_to_dict,
-    verify,
-    verify_many,
 )
 from repro.core.refiners import RefinementOutcome
 from repro.lang import PROGRAMS, get_program, get_source
@@ -43,6 +40,9 @@ from repro.logic.formulas import eq
 from repro.logic.terms import LinExpr
 
 from test_engine import EQUIVALENCE_CORPUS
+
+#: The deterministic in-process portfolio.
+ROUND_ROBIN = VerifierOptions(refiner="portfolio", portfolio_mode="round-robin")
 
 
 def _record(cex_length, pivots, predicates_total, frontier_size, progress=True):
@@ -115,16 +115,15 @@ class TestDivergenceMonitor:
 
     def test_analyze_real_divergent_run(self):
         """The real path-formula divergence on DOUBLE_COUNTER is flagged."""
-        result = verify(
-            get_program("double_counter"), refiner="path-formula", max_refinements=6
-        )
+        options = VerifierOptions(refiner="path-formula", max_refinements=6)
+        result = Session(options).run(get_program("double_counter"))
         assert result.verdict == Verdict.UNKNOWN
         verdict = DivergenceMonitor.analyze(result.iterations, window=3)
         assert verdict.diverging
 
     def test_analyze_real_convergent_run(self):
         """The successful path-invariant proof is left alone."""
-        result = verify(get_program("forward"), refiner="path-invariant")
+        result = Session().run(get_program("forward"))
         assert result.verdict == Verdict.SAFE
         assert not DivergenceMonitor.analyze(result.iterations, window=3).diverging
 
@@ -187,9 +186,7 @@ class TestDivergenceDemotion:
         """FORWARD/DOUBLE_COUNTER are proved although path-formula diverges,
         within the same shared refinement budget a single refiner would get."""
         for name in ("forward", "double_counter"):
-            result = verify(
-                get_source(name), refiner="portfolio", portfolio_mode="round-robin"
-            )
+            result = Session(ROUND_ROBIN).run(get_source(name))
             assert result.verdict == Verdict.SAFE, name
             assert result.winner == "path-invariant"
 
@@ -223,18 +220,16 @@ class TestPortfolioEquivalence:
         )
         result = portfolio.run()
         assert result.winner is not None, result.reason
-        single = verify(get_program(name), refiner=result.winner)
+        single = Session(VerifierOptions(refiner=result.winner)).run(get_program(name))
         assert result.verdict == single.verdict
         expected_safe = PROGRAMS[name].expected_safe
         assert (result.verdict == Verdict.SAFE) == expected_safe
 
     def test_unsafe_witness_is_preserved(self):
-        result = verify(
-            get_source("simple_unsafe"), refiner="portfolio", portfolio_mode="round-robin"
-        )
+        result = Session(ROUND_ROBIN).run(get_source("simple_unsafe"))
         assert result.verdict == Verdict.UNSAFE
         assert result.counterexample is not None
-        payload = result_to_dict(result)
+        payload = result.to_json()
         assert payload["witness"]
         assert payload["portfolio"]["winner"] == result.winner
         json.dumps(payload)
@@ -252,7 +247,7 @@ class TestPortfolioModes:
         assert result.verdict == Verdict.SAFE
         assert result.mode in ("process", "round-robin")  # sandbox fallback
         assert result.winner == "path-invariant"
-        json.dumps(result_to_dict(result))
+        json.dumps(result.to_json())
 
     def test_refiner_instances_force_round_robin(self):
         portfolio = PortfolioEngine(
@@ -281,21 +276,31 @@ class TestPortfolioModes:
         with pytest.raises(ValueError, match="engine-level"):
             make_refiner("portfolio")
 
-    def test_verify_and_cegarloop_thread_portfolio(self):
-        result = verify(
-            get_program("lock_step"), refiner="portfolio", portfolio_mode="round-robin"
-        )
+    def test_session_threads_portfolio(self):
+        result = Session(ROUND_ROBIN).run(get_program("lock_step"))
         assert isinstance(result, PortfolioResult)
         assert result.verdict == Verdict.SAFE
-        loop = CegarLoop(get_program("lock_step"), refiner="portfolio")
-        assert loop.run().verdict == Verdict.SAFE
-        with pytest.raises(ValueError, match="initial precision"):
-            loop.run(initial_precision=Precision())
+
+    def test_session_portfolio_accepts_seed_precision(self):
+        """A task's initial precision seeds every arm of the portfolio."""
+        task = VerificationTask(get_program("lock_step"), initial_precision=Precision())
+        result = Session(ROUND_ROBIN).run(task)
+        assert isinstance(result, PortfolioResult)
+        assert result.verdict == Verdict.SAFE
+        assert result.engine_stats["session"]["seeded_predicates"] == 0
+
+    def test_task_refiner_instance_overrides_portfolio_option(self):
+        """A caller-supplied refiner runs one engine, not the portfolio."""
+        refiner = _StallingRefiner(delay=0)  # counts its calls
+        task = VerificationTask(get_program("lock_step"), refiner=refiner)
+        result = Session(ROUND_ROBIN).run(task)
+        assert not isinstance(result, PortfolioResult)
+        assert result.verdict == Verdict.SAFE
+        assert refiner.calls == result.num_refinements > 0
 
     def test_batch_supports_portfolio(self):
-        results = verify_many(
-            ["lock_step", "simple_unsafe"], refiner="portfolio", jobs=1
-        )
+        session = Session(VerifierOptions(refiner="portfolio"))
+        results = session.run_many(["lock_step", "simple_unsafe"], jobs=1)
         assert [r["verdict"] for r in results] == ["safe", "unsafe"]
         assert all(r["portfolio"]["winner"] for r in results)
         json.dumps(results)

@@ -49,7 +49,7 @@ EQUIVALENCE_CORPUS = [
 
 
 def run_engine(name, refiner, batched, incremental=True, max_refinements=4):
-    from repro.core.verifier import make_refiner
+    from repro.core.refiners import make_refiner
 
     checker = VcChecker(batched_posts=batched)
     engine = VerificationEngine(
