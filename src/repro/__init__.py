@@ -30,7 +30,7 @@ from .core.supervision import RetryPolicy, Supervisor
 from .core.faults import FaultPlan, FaultSpec
 from .lang.programs import PROGRAMS, get_program, get_source, list_programs
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 # After __version__: the daemon's health endpoint reports it.
 from .serve import ServiceClient, ServiceConfig, ServiceError, VerificationService

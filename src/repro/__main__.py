@@ -21,8 +21,8 @@ Three subcommands drive the verification session API:
 ``repro fuzz``
     Differential fuzzing: generate a seeded corpus of well-typed programs
     and run each through paired engine configurations (batched vs scalar
-    posts, incremental vs restart, parallel vs sequential, portfolio vs
-    winning arm), asserting the equivalence contracts the engine
+    posts, incremental vs restart, portfolio vs winning arm, daemon vs
+    in-process engine), asserting the equivalence contracts the engine
     guarantees.  Any violation is shrunk to a 1-minimal reproducer.
     Exit code: 0 clean, 1 mismatches found, 3 usage error.
 
@@ -178,10 +178,6 @@ def _resolve_options(args: argparse.Namespace) -> VerifierOptions:
         overrides["warm_start"] = False
     if args.degrade_on_retry:
         overrides["degrade_on_retry"] = True
-    # Verify-only: intra-run exploration workers.  (batch's --jobs is the
-    # task-pool width, a different knob, so this is not in _FLAG_FIELDS.)
-    if getattr(args, "engine_jobs", None) is not None:
-        overrides["jobs"] = args.engine_jobs
     return options.replace(**overrides) if overrides else options
 
 
@@ -512,11 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_parser.add_argument("target", help="source file path or built-in program name")
     _add_engine_options(verify_parser)
-    verify_parser.add_argument(
-        "--jobs", dest="engine_jobs", type=int, default=None, metavar="N",
-        help="worker threads for intra-run parallel ART exploration "
-        "(default: 1 = sequential; results are bit-identical either way)",
-    )
     verify_parser.add_argument("--json", action="store_true", help="machine-readable output")
     verify_parser.add_argument(
         "--show-precision", action="store_true",
@@ -544,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential fuzzing of paired engine configurations",
         description="Generate a seeded corpus of well-typed programs and "
         "check engine equivalence contracts (batched vs scalar posts, "
-        "incremental vs restart, parallel vs sequential, portfolio vs "
-        "winning arm).  Mismatches are shrunk to 1-minimal reproducers.",
+        "incremental vs restart, portfolio vs winning arm, daemon vs "
+        "in-process engine).  Mismatches are shrunk to 1-minimal reproducers.",
     )
     fuzz_parser.add_argument(
         "--seed", type=int, default=0, metavar="S",

@@ -168,13 +168,6 @@ class VerifierOptions:
     #: Halve a task's resource budgets on each supervised retry.  Off by
     #: default: a degraded retry may legitimately return a weaker verdict.
     degrade_on_retry: bool = False
-    #: Worker count for intra-run parallel ART exploration (``1`` = strictly
-    #: sequential, no pool).  Verdicts, precisions and post-decision counts
-    #: are bit-identical for every value — workers only pre-compute solver
-    #: verdicts the sequential commit path then consumes as cache hits
-    #: (:mod:`repro.core.parallel`).  Distinct from the *batch* ``jobs=`` of
-    #: :meth:`Session.run_many`, which parallelises across tasks.
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.portfolio_refiners, tuple):
@@ -240,8 +233,6 @@ class VerifierOptions:
             )
         if self.task_retries < 0:
             raise ValueError(f"task_retries must be >= 0, got {self.task_retries}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     # ------------------------------------------------------------------
     def budget(self) -> Budget:
@@ -673,6 +664,38 @@ class PrecisionStore:
 # ----------------------------------------------------------------------
 # Sessions
 # ----------------------------------------------------------------------
+def worker_payload(
+    name: str,
+    source: str,
+    opts: VerifierOptions,
+    seed: Optional[dict[str, tuple[Formula, ...]]],
+    budget: Optional[dict[str, Any]] = None,
+) -> dict[str, Any]:
+    """The picklable task :func:`~repro.core.engine._run_batch_task` runs.
+
+    Shared by :meth:`Session.run_many` and the daemon, so both ship the
+    same keys.  ``seed`` is a :meth:`PrecisionStore.payload`; ``budget``
+    overrides ``vars(opts.budget())`` (the daemon clamps ``max_seconds`` to
+    its request timeout).
+    """
+    return {
+        "name": name,
+        "source": source,
+        "refiner": opts.refiner,
+        "strategy": opts.strategy,
+        "budget": vars(opts.budget()) if budget is None else budget,
+        "incremental": opts.incremental,
+        "max_predicates_per_location": opts.max_predicates_per_location,
+        "max_cache_entries": opts.max_cache_entries,
+        "portfolio_refiners": list(opts.portfolio_refiners),
+        "slice_refinements": opts.slice_refinements,
+        "slice_seconds": opts.slice_seconds,
+        "monitor_window": opts.monitor_window,
+        "seed": seed,
+        "ship_precision": True,
+    }
+
+
 class Session:
     """A reusable verification context: shared checker, precisions, scheduler.
 
@@ -860,7 +883,6 @@ class Session:
             budget=opts.budget(),
             incremental=opts.incremental,
             max_predicates_per_location=opts.max_predicates_per_location,
-            jobs=opts.jobs,
         )
 
     # ------------------------------------------------------------------
@@ -912,23 +934,9 @@ class Session:
                         if opts.warm_start
                         else None
                     )
-                    payload = {
-                        "name": task.name or program.name,
-                        "source": task.source,
-                        "refiner": opts.refiner,
-                        "strategy": opts.strategy,
-                        "budget": vars(opts.budget()),
-                        "incremental": opts.incremental,
-                        "max_predicates_per_location": opts.max_predicates_per_location,
-                        "max_cache_entries": opts.max_cache_entries,
-                        "portfolio_refiners": list(opts.portfolio_refiners),
-                        "slice_refinements": opts.slice_refinements,
-                        "slice_seconds": opts.slice_seconds,
-                        "monitor_window": opts.monitor_window,
-                        "jobs": opts.jobs,
-                        "seed": seed,
-                        "ship_precision": True,
-                    }
+                    payload = worker_payload(
+                        task.name or program.name, task.source, opts, seed
+                    )
                     prepared.append((task, payload, None))
                 except Exception as error:
                     prepared.append(

@@ -31,7 +31,6 @@ from ..lang.ast import FunctionDef
 from ..lang.cfg import Program, build_program, program_from_source
 from ..smt.vcgen import VcChecker
 from .cex import CounterexampleAnalysis, analyze_counterexample
-from .parallel import PARALLEL_BACKENDS, SpeculativePool
 from .predabs import (
     FRONTIER_NAMES,
     Art,
@@ -327,8 +326,6 @@ class VerificationEngine:
         budget: Optional[Budget] = None,
         incremental: bool = True,
         max_predicates_per_location: Optional[int] = None,
-        jobs: int = 1,
-        parallel_backend: str = "thread",
     ) -> None:
         if isinstance(program, str):
             program = program_from_source(program)
@@ -343,19 +340,6 @@ class VerificationEngine:
         #: (``None`` = unbounded); bounds the path-formula refiner's array
         #: predicate flood at the cost of refinement completeness.
         self.max_predicates_per_location = max_predicates_per_location
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {parallel_backend!r}; expected one of "
-                f"{PARALLEL_BACKENDS}"
-            )
-        #: Worker count for intra-run parallel exploration; ``1`` keeps the
-        #: engine strictly sequential (no pool, no threads).  Results are
-        #: bit-identical either way — see :mod:`repro.core.parallel`.
-        self.jobs = jobs
-        self.parallel_backend = parallel_backend
-        self._pool: Optional[SpeculativePool] = None
         if isinstance(strategy, Frontier):
             # A frontier instance is consumed by the first tree only; later
             # fresh trees (restart mode, repeated run()) get a new frontier —
@@ -430,38 +414,6 @@ class VerificationEngine:
             max_solver_calls=self.budget.max_solver_calls,
         )
 
-        pool: Optional[SpeculativePool] = None
-        if self.jobs > 1:
-            # Intra-run parallel exploration: workers pre-decide frontier
-            # obligations on private checker shards while this thread runs
-            # the unchanged sequential commit loop below.  set_precision
-            # stores the live Precision object, so offers made after a
-            # refinement automatically see the grown predicate sets.
-            pool = self._pool = SpeculativePool(
-                self.jobs, self.checker, backend=self.parallel_backend
-            )
-            pool.set_precision(precision)
-            self.art.speculator = pool
-            pool.prime(self.art)
-        try:
-            return self._run_loop(
-                pool, precision, iterations, limits, start
-            )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-                if self.art is not None:
-                    self.art.speculator = None
-                self._pool = None
-
-    def _run_loop(
-        self,
-        pool: Optional[SpeculativePool],
-        precision: Precision,
-        iterations: list[IterationRecord],
-        limits: ExploreLimits,
-        start: float,
-    ) -> Result:
         while True:
             iteration_start = time.perf_counter()
             posts_before = self.art.post_decisions
@@ -496,11 +448,6 @@ class VerificationEngine:
 
             path = outcome.counterexample
             record.counterexample_length = len(path)
-            if pool is not None:
-                # Counterexample barrier: wait out in-flight workers before
-                # the sequential analysis/refinement phase (their results
-                # are discarded — see SpeculativePool.drain).
-                pool.drain()
             analysis = analyze_counterexample(path, self.checker)
             record.counterexample_feasible = analysis.feasible
             if analysis.feasible:
@@ -539,12 +486,6 @@ class VerificationEngine:
                 )
             else:
                 self.art = self._fresh_art()
-                if pool is not None:
-                    self.art.speculator = pool
-            if pool is not None:
-                # Resume parallel expansion: re-offer the repaired frontier
-                # under the grown precision.
-                pool.prime(self.art)
             seal()
 
     # ------------------------------------------------------------------
@@ -571,13 +512,7 @@ class VerificationEngine:
         engine_stats: dict[str, Any] = {
             "strategy": self.strategy_name,
             "incremental": self.incremental,
-            "jobs": self.jobs,
         }
-        if self._pool is not None:
-            # Settle in-flight speculation before reading its counters (the
-            # pool itself is shut down by run()'s finally clause).
-            self._pool.drain()
-            engine_stats["parallel"] = self._pool.statistics()
         if precision.max_per_location is not None:
             engine_stats["max_predicates_per_location"] = precision.max_per_location
             engine_stats["predicates_dropped"] = precision.predicates_dropped
@@ -1248,7 +1183,6 @@ def _run_batch_task(payload: dict[str, Any]) -> dict[str, Any]:
                 budget=Budget(**payload["budget"]),
                 incremental=payload["incremental"],
                 max_predicates_per_location=cap,
-                jobs=payload.get("jobs", 1),
             )
             engine.checker.max_cache_entries = payload.get("max_cache_entries")
             # The refiner needs the engine's checker; build it here rather

@@ -70,7 +70,6 @@ __all__ = [
     "ErrorDistanceFrontier",
     "make_frontier",
     "FRONTIER_NAMES",
-    "split_frame_predicates",
 ]
 
 
@@ -329,12 +328,11 @@ class ErrorDistanceFrontier(Frontier):
 
     The distance map is a reverse BFS over the CFG; obligations whose target
     is closer to the error location are expanded first.  Equal-rank
-    obligations are ordered by the *stable node id* of their source — not by
-    insertion order — so a parallel run (whose workers may re-offer
-    obligations in a different order) and a sequential run pop the same
-    obligation and ultimately refine the same pivot.  The insertion counter
-    remains only as the final tie-break among multiple outgoing transitions
-    of one node, where push order is deterministic (CFG declaration order).
+    obligations are ordered by the *stable node id* of their source, then by
+    an insertion counter among the outgoing transitions of one node (CFG
+    declaration order).  The node-id tie-break stays because the committed
+    benchmark counters (post decisions, nodes created, refinement pivots)
+    depend on the pop order it fixes among equal-rank obligations.
     """
 
     name = "error-distance"
@@ -394,41 +392,6 @@ def make_frontier(name: str, program: Program) -> Frontier:
 
 
 # ----------------------------------------------------------------------
-# The Cartesian-post frame rule, shared by the ART and parallel workers
-# ----------------------------------------------------------------------
-def split_frame_predicates(
-    state: frozenset[Formula],
-    transition: Transition,
-    predicates: Iterable[Formula],
-) -> tuple[list[Formula], list[Formula]]:
-    """Split ``predicates`` into ``(carried, undecided)`` across ``transition``.
-
-    ``carried`` are the predicates the frame rule settles for free: they
-    already hold in ``state`` and none of their variables or arrays is
-    written by the transition, so they keep holding.  ``undecided`` is
-    everything else — the part that needs the abstract-post oracle.  Pure
-    and deterministic, which is why both :meth:`Art._cartesian_post` and the
-    speculative workers of :mod:`repro.core.parallel` can apply it
-    independently and agree on exactly which predicates reach the solver.
-    """
-    written: Optional[set[str]] = None
-    carried: list[Formula] = []
-    undecided: list[Formula] = []
-    for predicate in predicates:
-        if predicate in state:
-            if written is None:
-                written = set()
-                for command in transition.commands:
-                    written |= command_writes(command)
-            touched = {v.name for v in predicate.variables()} | predicate.arrays()
-            if not touched & written:
-                carried.append(predicate)
-                continue
-        undecided.append(predicate)
-    return carried, undecided
-
-
-# ----------------------------------------------------------------------
 # The persistent abstract reachability tree
 # ----------------------------------------------------------------------
 @dataclass
@@ -467,14 +430,6 @@ class Art:
         self.checker = checker or VcChecker()
         # Not `frontier or ...`: an empty frontier is falsy via __len__.
         self.frontier = frontier if frontier is not None else BfsFrontier()
-        #: Optional speculative-execution hook (duck-typed; in practice a
-        #: :class:`repro.core.parallel.SpeculativePool`).  When set, every
-        #: obligation entering the frontier is also *offered* to it
-        #: (``offer(node, transition)``), and :meth:`_expand_edge` asks it to
-        #: ``install(state, transition)`` speculated verdicts into the shared
-        #: checker just before deciding the edge — the commit then runs the
-        #: unchanged sequential algorithm against a pre-warmed memo.
-        self.speculator = None
         self._outgoing: dict[Location, list[Transition]] = {}
         for transition in program.transitions:
             self._outgoing.setdefault(transition.source, []).append(transition)
@@ -565,13 +520,6 @@ class Art:
         """Compute the Cartesian post along one edge; attach and index the child."""
         self.edges_expanded += 1
         self.post_decisions += 1
-        if self.speculator is not None:
-            # Merge point of parallel exploration: claim this obligation's
-            # speculated verdicts (blocking on an in-flight worker if need
-            # be) so the checker calls below become cache hits.  Verdict
-            # order and counters stay exactly sequential — see
-            # repro.core.parallel for the protocol.
-            self.speculator.install(node.state, transition)
         if not self.checker.edge_feasible(node.state, transition):
             return None
         successor_state = self._cartesian_post(node.state, transition, precision)
@@ -614,8 +562,20 @@ class Art:
             predicates = precision.predicates_at(transition.target)
         # Frame rule shortcut: a predicate that already holds and whose
         # variables/arrays are untouched by the transition keeps holding.
-        carried, undecided = split_frame_predicates(state, transition, predicates)
-        successors: set[Formula] = set(carried)
+        written: Optional[set[str]] = None
+        successors: set[Formula] = set()
+        undecided: list[Formula] = []
+        for predicate in predicates:
+            if predicate in state:
+                if written is None:
+                    written = set()
+                    for command in transition.commands:
+                        written |= command_writes(command)
+                touched = {v.name for v in predicate.variables()} | predicate.arrays()
+                if not touched & written:
+                    successors.add(predicate)
+                    continue
+            undecided.append(predicate)
         if undecided:
             # One batched query for the whole edge: the checker answers memo
             # hits from the post cache and decides the rest inside a single
@@ -664,8 +624,6 @@ class Art:
     def _enqueue_all(self, node: ArtNode) -> None:
         for transition in self._outgoing.get(node.location, []):
             self.frontier.push(node, transition)
-            if self.speculator is not None:
-                self.speculator.offer(node, transition)
 
     # ------------------------------------------------------------------
     # Refinement repair (pivot invalidation + delta recheck)

@@ -74,7 +74,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from ..core import faults
-from ..core.api import Session, VerifierOptions
+from ..core.api import Session, VerifierOptions, worker_payload
 from ..core.engine import _run_batch_task, error_doc
 from ..core.supervision import RetryPolicy, Supervisor
 from . import protocol
@@ -814,23 +814,7 @@ class VerificationService:
             seed = (
                 self.session.store.payload(fingerprint) if opts.warm_start else None
             )
-            payload = {
-                "name": name,
-                "source": source,
-                "refiner": opts.refiner,
-                "strategy": opts.strategy,
-                "budget": budget,
-                "incremental": opts.incremental,
-                "max_predicates_per_location": opts.max_predicates_per_location,
-                "max_cache_entries": opts.max_cache_entries,
-                "portfolio_refiners": list(opts.portfolio_refiners),
-                "slice_refinements": opts.slice_refinements,
-                "slice_seconds": opts.slice_seconds,
-                "monitor_window": opts.monitor_window,
-                "jobs": opts.jobs,
-                "seed": seed,
-                "ship_precision": True,
-            }
+            payload = worker_payload(name, source, opts, seed, budget=budget)
             # thread backend: sequential, this executor thread is the worker.
             # process backend: force_pool gives the single task its own
             # worker *process* — a hard death breaks only this request's

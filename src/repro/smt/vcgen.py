@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ..core import faults
 from ..lang.commands import Command
 from ..logic.formulas import FALSE, Formula, TRUE, conjoin, negate
 from ..logic.terms import Var
@@ -178,10 +177,6 @@ class VcChecker:
         self.num_scalar_fallbacks = 0
         self.num_batch_calls = 0
         self.num_ssa_translations = 0
-        #: Verdicts installed by :meth:`install_speculated` — work a parallel
-        #: worker shard decided ahead of time that the commit path then
-        #: consumed as cache hits.
-        self.num_speculated_installs = 0
         self.cache_evictions = 0
         #: Per-phase wall clock of the batched oracle (seconds): edge
         #: preparation (translate + skolemise + resolve + base assert) vs
@@ -247,7 +242,6 @@ class VcChecker:
             "scalar_fallbacks": self.num_scalar_fallbacks,
             "batch_calls": self.num_batch_calls,
             "ssa_translations": self.num_ssa_translations,
-            "speculated_installs": self.num_speculated_installs,
             "cache_evictions": self.cache_evictions,
             "prepare_seconds": round(self.prepare_seconds, 6),
             "post_solve_seconds": round(self.post_solve_seconds, 6),
@@ -423,17 +417,6 @@ class VcChecker:
                 remaining.append(predicate)
         if not remaining:
             return verdicts
-        # Fault-injection hook: a ``slow-post`` spec keyed by the edge's
-        # location names stalls every undecided predicate of this batch —
-        # one straggling solver query per triple, so a batch split across
-        # worker shards straggles proportionally to its share.
-        fault_key = (
-            f"{getattr(transition.source, 'name', transition.source)}"
-            f"->{getattr(transition.target, 'name', transition.target)}",
-            str(getattr(transition.target, "name", transition.target)),
-        )
-        for _ in remaining:
-            faults.fire("post", fault_key)
         if not self.batched_posts:
             # Differential baseline: the scalar oracle per predicate (undo
             # the query count above — post_predicate_holds re-counts).
@@ -451,46 +434,6 @@ class VcChecker:
             self._cache_put(self._post_cache, (state, transition, predicate), verdict)
             verdicts[predicate] = verdict
         return verdicts
-
-    def install_speculated(
-        self,
-        state: frozenset,
-        transition,
-        edge_verdict: Optional[bool],
-        post_verdicts: Optional[dict[Formula, bool]] = None,
-    ) -> int:
-        """Merge verdicts a worker shard decided ahead of time into this
-        checker's memo tables; returns the number actually installed.
-
-        This is the merge half of parallel exploration
-        (:mod:`repro.core.parallel`): worker shards decide ``edge_feasible``
-        and per-predicate posts on their own solvers, and the commit path
-        installs the results here so :meth:`edge_feasible` /
-        :meth:`post_all_predicates` answer from cache.  Both verdicts are
-        precision-independent, so a speculated result can never go stale —
-        at worst it is wasted work for an obligation the ART pruned.
-
-        Budget fidelity: each *newly* installed verdict counts as one
-        ``num_triple_checks``, exactly what the sequential engine would have
-        paid to decide it here, so ``max_solver_calls`` budgets behave the
-        same with and without workers.  Verdicts already cached (a memo hit
-        the worker could not see) install nothing and count nothing.
-        """
-        installed = 0
-        if edge_verdict is not None:
-            key = (state, transition)
-            if self._cache_get(self._edge_cache, key) is None:
-                self.num_triple_checks += 1
-                self._cache_put(self._edge_cache, key, edge_verdict)
-                installed += 1
-        for predicate, verdict in (post_verdicts or {}).items():
-            key = (state, transition, predicate)
-            if self._cache_get(self._post_cache, key) is None:
-                self.num_triple_checks += 1
-                self._cache_put(self._post_cache, key, verdict)
-                installed += 1
-        self.num_speculated_installs += installed
-        return installed
 
     # ------------------------------------------------------------------
     # Batched-oracle internals

@@ -7,11 +7,6 @@ an earlier PR established, and compares exactly what that PR guarantees:
     Batched abstract-post oracle vs the scalar per-predicate baseline
     (PR 5): verdicts, precisions and post-decision counts must be
     **bit-identical** — the batching is a pure caching layer.
-``parallel``
-    ``jobs=2`` speculative exploration vs the sequential engine (PR 7):
-    verdicts, precisions, post decisions and nodes created must be
-    **bit-identical** — workers only pre-compute solver verdicts the
-    sequential commit path consumes as cache hits.
 ``incremental``
     Persistent-ART engine vs the restart-the-world baseline (PR 2): the
     *verdicts* must agree whenever both runs decide.  One side exhausting
@@ -79,7 +74,7 @@ __all__ = [
 ]
 
 #: The paired-configuration oracles, in the order they run.
-ORACLES = ("batched", "incremental", "parallel", "portfolio", "serve")
+ORACLES = ("batched", "incremental", "portfolio", "serve")
 
 _DECIDED = (Verdict.SAFE, Verdict.UNSAFE)
 
@@ -163,7 +158,6 @@ def _engine_record(
     options: VerifierOptions,
     batched: bool = True,
     incremental: bool = True,
-    jobs: int = 1,
     refiner: Optional[str] = None,
 ) -> dict:
     """Run one engine configuration; a dict of everything the oracles compare."""
@@ -176,7 +170,6 @@ def _engine_record(
         budget=options.budget(),
         incremental=incremental,
         max_predicates_per_location=options.max_predicates_per_location,
-        jobs=jobs,
     )
     result = engine.run()
     return {
@@ -191,7 +184,7 @@ def _engine_record(
 def _compare_bit_identical(
     oracle: str, reference: dict, variant: dict, labels: tuple[str, str]
 ) -> list[Mismatch]:
-    """The PR 5 / PR 7 contract: *everything* must match, including budget
+    """The batched / serve contract: *everything* must match, including budget
     accounting — a decided-vs-unknown asymmetry is itself a mismatch."""
     ref_label, var_label = labels
     mismatches = []
@@ -242,15 +235,6 @@ def _oracle_batched(function, options):
     record = {"batched": reference, "scalar": variant}
     return record, _compare_bit_identical(
         "batched", reference, variant, ("batched", "scalar")
-    )
-
-
-def _oracle_parallel(function, options):
-    reference = _engine_record(function, options, jobs=1)
-    variant = _engine_record(function, options, jobs=2)
-    record = {"sequential": reference, "parallel": variant}
-    return record, _compare_bit_identical(
-        "parallel", reference, variant, ("jobs=1", "jobs=2")
     )
 
 
@@ -382,7 +366,6 @@ def _oracle_serve(function, options):
 _ORACLE_FUNCS: dict[str, Callable] = {
     "batched": _oracle_batched,
     "incremental": _oracle_incremental,
-    "parallel": _oracle_parallel,
     "portfolio": _oracle_portfolio,
     "serve": _oracle_serve,
 }

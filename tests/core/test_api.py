@@ -25,6 +25,7 @@ from repro import (
     program_fingerprint,
 )
 from repro.core import RESULT_SCHEMA_VERSION, Budget, Precision, Verdict
+from repro.core.api import worker_payload
 from repro.lang import get_program, get_source
 from repro.logic.formulas import eq, le
 from repro.logic.terms import LinExpr
@@ -124,6 +125,28 @@ class TestVerifierOptions:
         assert budget == Budget(
             max_refinements=3, max_nodes=None, max_seconds=9.0, max_solver_calls=100
         )
+
+    def test_worker_count_is_not_an_option(self):
+        # One exploration path: the engine-level worker count is gone, and
+        # a 2.x options dict carrying it is refused like any unknown key.
+        assert "jobs" not in VerifierOptions().to_dict()
+        with pytest.raises(TypeError):
+            VerifierOptions(jobs=2)
+        with pytest.raises(ValueError, match="unknown option keys"):
+            VerifierOptions.from_dict({"jobs": 2})
+
+    @pytest.mark.parametrize(
+        "filename,text",
+        [
+            ("opts.toml", 'refiner = "path-invariant"\njobs = 3\n'),
+            ("opts.json", '{"refiner": "path-invariant", "jobs": 3}'),
+        ],
+    )
+    def test_options_file_with_worker_count_rejected(self, tmp_path, filename, text):
+        path = tmp_path / filename
+        path.write_text(text)
+        with pytest.raises(ValueError, match="jobs"):
+            VerifierOptions.from_file(path)
 
 
 # ----------------------------------------------------------------------
@@ -376,6 +399,60 @@ class TestPickling:
 # ----------------------------------------------------------------------
 # Session scheduling
 # ----------------------------------------------------------------------
+class TestWorkerPayload:
+    """``worker_payload`` is the one builder of the task dict that
+    ``_run_batch_task`` reads, for the session pool and the daemon alike."""
+
+    KEYS = {
+        "name", "source", "refiner", "strategy", "budget", "incremental",
+        "max_predicates_per_location", "max_cache_entries",
+        "portfolio_refiners", "slice_refinements", "slice_seconds",
+        "monitor_window", "seed", "ship_precision",
+    }
+
+    def test_key_set(self):
+        payload = worker_payload("forward", get_source("forward"), VerifierOptions(), None)
+        assert set(payload) == self.KEYS
+        assert payload["ship_precision"] is True
+        json.dumps(payload)  # primitives only when there is no seed
+
+    def test_budget_defaults_to_the_options_budget(self):
+        options = VerifierOptions(max_refinements=3, max_seconds=9.0)
+        payload = worker_payload("forward", get_source("forward"), options, None)
+        assert payload["budget"] == vars(options.budget())
+
+    def test_explicit_budget_wins(self):
+        clamped = dict(vars(VerifierOptions().budget()), max_seconds=1.5)
+        payload = worker_payload(
+            "forward", get_source("forward"), VerifierOptions(), None, budget=clamped
+        )
+        assert payload["budget"] == clamped
+
+    def test_carries_engine_knobs(self):
+        options = VerifierOptions(
+            refiner="portfolio", strategy="dfs", incremental=False,
+            max_predicates_per_location=4, portfolio_refiners=("path-formula",),
+        )
+        payload = worker_payload("t", "src", options, None)
+        assert payload["refiner"] == "portfolio"
+        assert payload["strategy"] == "dfs"
+        assert payload["incremental"] is False
+        assert payload["max_predicates_per_location"] == 4
+        assert payload["portfolio_refiners"] == ["path-formula"]
+
+    def test_worker_runs_the_payload_like_the_session(self):
+        from repro.core.engine import _run_batch_task
+
+        options = VerifierOptions(max_refinements=8)
+        doc = _run_batch_task(
+            worker_payload("lock_step", get_source("lock_step"), options, None)
+        )
+        expected = Session(options).run("lock_step").to_json(name="lock_step")
+        assert doc["verdict"] == expected["verdict"] == "safe"
+        assert doc["post_decisions"] == expected["post_decisions"]
+        assert "_precision" in doc  # shipped home for the store
+
+
 class TestSessionScheduling:
     def test_run_many_sequential_warm_starts_duplicates(self):
         session = Session()

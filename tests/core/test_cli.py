@@ -71,6 +71,14 @@ class TestVerifyCommand:
         typed.write_text('max_refinements = "five"\n')
         assert run_cli(["verify", "forward", "--options", str(typed)]) == 3
 
+    def test_options_file_with_worker_count_is_a_usage_error(self, tmp_path, capsys):
+        # A 2.x options file that still sets the engine worker count.
+        opts = tmp_path / "opts.toml"
+        opts.write_text("jobs = 2\nmax_refinements = 8\n")
+        assert run_cli(["verify", "forward", "--options", str(opts)]) == 3
+        assert "jobs" in capsys.readouterr().err
+        assert run_cli(["batch", "forward", "--options", str(opts)]) == 3
+
     def test_max_predicates_per_location_flag(self, capsys):
         assert run_cli([
             "verify", "forward", "--refiner", "path-formula",
@@ -254,6 +262,17 @@ class TestBatchCommand:
         payload = json.loads(capsys.readouterr().out)
         assert [r["verdict"] for r in payload["results"]] == ["error", "safe"]
 
+    def test_cli_jobs_is_batch_pool_width_only(self, capsys):
+        from repro.__main__ import build_parser
+
+        # batch --jobs sizes the task pool; verify has no --jobs at all.
+        args = build_parser().parse_args(["batch", "forward", "--jobs", "2"])
+        assert args.jobs == 2
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["verify", "forward", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestListCommand:
     def test_lists_builtins(self, capsys):
@@ -292,3 +311,23 @@ def test_module_entry_point_subprocess():
     )
     assert completed.returncode == 0, completed.stderr
     assert json.loads(completed.stdout)["verdict"] == "safe"
+
+
+def test_cli_import_loads_no_process_pool_machinery():
+    """``import repro.__main__`` leaves ``multiprocessing`` unloaded.
+
+    Every process pool (batch, portfolio race, daemon backend) imports its
+    machinery when it starts, so a cold ``repro verify`` never pays for it.
+    """
+    probe = (
+        "import sys, repro.__main__; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": SRC_ROOT, "PATH": "/usr/bin:/bin"},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

@@ -24,6 +24,7 @@ from repro.core import (
     make_frontier,
     make_refiner,
 )
+from repro.core.predabs import ArtNode, ErrorDistanceFrontier
 from repro.lang import get_program, get_source
 from repro.smt.vcgen import VcChecker
 
@@ -183,6 +184,179 @@ class TestStrategies:
         frontier = make_frontier("dfs", get_program("lock_step"))
         engine = VerificationEngine(get_program("lock_step"), strategy=frontier)
         assert engine.run().verdict == Verdict.SAFE
+
+
+class TestDeterministicTieBreak:
+    def test_equal_rank_pops_by_node_id(self):
+        program = get_program("forward")
+        frontier = ErrorDistanceFrontier(program)
+        location = program.initial
+        transition = next(
+            t for t in program.transitions if t.source == location
+        )
+        # Push equal-rank obligations in scrambled node-id order; pops must
+        # come back in stable node-id order, not insertion order.
+        nodes = {
+            node_id: ArtNode(location, frozenset(), node_id=node_id)
+            for node_id in (7, 2, 9, 4)
+        }
+        for node_id in (7, 2, 9, 4):
+            frontier.push(nodes[node_id], transition)
+        popped = []
+        while True:
+            entry = frontier.pop()
+            if entry is None:
+                break
+            popped.append(entry[0].node_id)
+        assert popped == [2, 4, 7, 9]
+
+    def test_same_node_keeps_push_order(self):
+        # The counter stays as the final tie-break: one node's multiple
+        # outgoing transitions pop in CFG declaration order.
+        program = get_program("diamond_safe")
+        frontier = ErrorDistanceFrontier(program)
+        node = ArtNode(program.initial, frozenset(), node_id=5)
+        outgoing = [t for t in program.transitions if t.source == program.initial]
+        same_rank = [
+            t for t in outgoing
+            if frontier._distance.get(t.target)
+            == frontier._distance.get(outgoing[0].target)
+        ]
+        for transition in same_rank:
+            frontier.push(node, transition)
+        popped = []
+        while len(frontier):
+            popped.append(frontier.pop()[1])
+        assert popped == same_rank
+
+
+#: (program, refiner) pairs that finish fast; repeated runs of each must
+#: agree counter for counter.
+REPEAT_CORPUS = [
+    ("forward", "path-invariant"),
+    ("initcheck", "path-invariant"),
+    ("double_counter", "path-formula"),
+    ("lock_step", "path-invariant"),
+    ("simple_unsafe", "path-invariant"),
+    ("diamond_safe", "path-invariant"),
+]
+
+
+def run_fresh(name, refiner="path-invariant", **kwargs):
+    """One engine run on its own checker, so no memo carries between runs."""
+    checker = VcChecker()
+    engine = VerificationEngine(
+        get_program(name),
+        refiner=make_refiner(refiner, checker),
+        checker=checker,
+        **kwargs,
+    )
+    return engine.run()
+
+
+def assert_same_run(first, second):
+    assert second.verdict == first.verdict
+    assert second.precision.snapshot() == first.precision.snapshot()
+    for counter in ("post_decisions", "nodes_created"):
+        assert second.engine_stats[counter] == first.engine_stats[counter]
+    assert (
+        second.iterations[-1].solver_stats["triple_checks"]
+        == first.iterations[-1].solver_stats["triple_checks"]
+    )
+
+
+class TestRepeatability:
+    """The sequential loop is deterministic: the committed benchmark
+    counters are only comparable across snapshots because two runs of the
+    same program pop the same obligations and refine the same pivots."""
+
+    @pytest.mark.parametrize("name,refiner", REPEAT_CORPUS)
+    def test_repeated_runs_identical(self, name, refiner):
+        assert_same_run(run_fresh(name, refiner), run_fresh(name, refiner))
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "error-distance"])
+    def test_every_strategy_repeats(self, strategy):
+        assert_same_run(
+            run_fresh("forward", strategy=strategy),
+            run_fresh("forward", strategy=strategy),
+        )
+
+    def test_restart_mode_repeats(self):
+        assert_same_run(
+            run_fresh("lock_step", incremental=False),
+            run_fresh("lock_step", incremental=False),
+        )
+
+
+class TestOneExplorationPath:
+    def test_engine_takes_no_worker_count(self):
+        with pytest.raises(TypeError, match="jobs"):
+            VerificationEngine(get_program("forward"), jobs=2)
+
+    def test_result_reports_no_worker_stats(self):
+        result = run_fresh("lock_step")
+        assert "jobs" not in result.engine_stats
+        assert "parallel" not in result.engine_stats
+        engine_doc = result.to_json(name="lock_step")["engine"]
+        assert "jobs" not in engine_doc and "parallel" not in engine_doc
+
+
+class TestFrameRule:
+    """``Art._cartesian_post`` carries a held predicate over an edge that
+    writes none of its variables without asking the checker."""
+
+    def setup_method(self):
+        from repro.core.predabs import Art
+        from repro.logic.formulas import ge
+        from repro.logic.terms import var
+
+        self.program = get_program("forward")
+        self.art = Art(self.program, VcChecker())
+        # L10 -> L5 is ``i := i + 1``: it writes i and nothing else.
+        self.edge = next(
+            t for t in self.program.transitions
+            if (str(t.source), str(t.target)) == ("L10", "L5")
+        )
+        self.untouched = ge(var("n"), 0)
+        self.written = ge(var("i"), 0)
+
+    def precision_with(self, *predicates):
+        precision = Precision()
+        for predicate in predicates:
+            precision.add(self.edge.target, predicate)
+        return precision
+
+    def test_untouched_predicate_is_carried_without_a_query(self):
+        state = frozenset({self.untouched})
+        post = self.art._cartesian_post(
+            state, self.edge, self.precision_with(self.untouched)
+        )
+        assert post == state
+        assert self.art.post_decisions == 0
+
+    def test_written_predicate_is_decided(self):
+        state = frozenset({self.written})
+        post = self.art._cartesian_post(
+            state, self.edge, self.precision_with(self.written)
+        )
+        # i >= 0 before i := i + 1 still gives i >= 0, but only the solver
+        # may say so: the edge writes i.
+        assert post == state
+        assert self.art.post_decisions == 1
+
+    def test_predicate_not_in_state_is_decided(self):
+        post = self.art._cartesian_post(
+            frozenset(), self.edge, self.precision_with(self.untouched)
+        )
+        assert post == frozenset()
+        assert self.art.post_decisions == 1
+
+    def test_empty_precision_decides_nothing(self):
+        post = self.art._cartesian_post(
+            frozenset({self.untouched}), self.edge, Precision()
+        )
+        assert post == frozenset()
+        assert self.art.post_decisions == 0
 
 
 class TestVerifyCompatibility:

@@ -39,9 +39,16 @@ class TestFaultSpec:
     def test_every_kind_has_a_site(self):
         for kind in FAULT_KINDS:
             assert FaultSpec(kind=kind).site in (
-                "task", "store-load", "post", "serve-response",
+                "task", "store-load", "serve-response",
                 "client-send", "journal-append",
             )
+
+    def test_kinds_are_exactly_the_site_kinds(self):
+        # The abstract-post oracle carries no fault hook: no "post" site,
+        # and no kind outside the sites that remain.
+        assert "post" not in faults.FAULT_SITES
+        site_kinds = [k for kinds in faults.FAULT_SITES.values() for k in kinds]
+        assert sorted(site_kinds) == sorted(FAULT_KINDS)
 
     def test_dict_round_trip(self):
         spec = FaultSpec(kind="hang", key="forward", attempts=(0, 2), seconds=9.0)

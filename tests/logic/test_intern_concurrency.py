@@ -1,9 +1,9 @@
 """Concurrent hash-consing: the intern tables must stay canonical under
 multi-threaded construction.
 
-Parallel ART exploration (repro.core.parallel) builds formulas from worker
-threads — SSA renaming, skolemisation, store resolution all construct terms
-and formulas concurrently.  Hash-consing promises ``Var("x") is Var("x")``
+The verification daemon's thread backend (``repro serve``) runs one engine
+per worker thread, so SSA renaming, skolemisation and store resolution
+construct terms and formulas concurrently.  Hash-consing promises ``Var("x") is Var("x")``
 process-wide; without the intern lock two racing threads could both insert,
 silently breaking the identity guarantee the logic layer's caches and the
 solver's memo tables rely on.  These tests hammer the miss path from many

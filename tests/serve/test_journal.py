@@ -46,7 +46,7 @@ class TestAcceptAnswer:
     def test_records_are_framed_json(self, tmp_path):
         path = tmp_path / "requests.wal"
         journal = RequestJournal(path)
-        journal.accept("t", "src", {"jobs": 2}, "fp", client_id="ci")
+        journal.accept("t", "src", {"max_refinements": 2}, "fp", client_id="ci")
         journal.close()
         data = path.read_bytes()
         assert data[:4] == JOURNAL_MAGIC
@@ -54,7 +54,7 @@ class TestAcceptAnswer:
         record = json.loads(data[8 : 8 + length])
         assert record["type"] == "accepted"
         assert record["name"] == "t"
-        assert record["options"] == {"jobs": 2}
+        assert record["options"] == {"max_refinements": 2}
         assert record["client_id"] == "ci"
 
 

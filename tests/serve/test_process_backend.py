@@ -198,6 +198,35 @@ class TestJournalRecoveryThroughTheService:
         finally:
             service.stop()
 
+    def test_recover_answers_a_2x_record_error(self, tmp_path):
+        # 2.x daemons journaled the engine worker count in the options; the
+        # key is unknown now, so recovery answers the record 'error'
+        # instead of running it or carrying it forever.
+        path = tmp_path / "requests.wal"
+        journal = RequestJournal(path)
+        journal.accept(
+            "old", "simple_safe", {"jobs": 2, "max_refinements": 8}, "fp-old"
+        )
+        journal.close()
+        service = VerificationService(
+            ServiceConfig(workers=2, journal_path=path, recover=True)
+        ).start()
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                stats = service.statistics()["service"]
+                if stats["journal"]["lag"] == 0:
+                    break
+                time.sleep(0.05)
+            assert stats["journal"]["lag"] == 0
+            assert stats["recovery_runs"] == 0
+            assert stats["engine_runs"] == 0
+        finally:
+            service.stop()
+        reopened = RequestJournal(path)
+        assert reopened.recovered == []
+        reopened.close()
+
     def test_recover_pre_warms_the_backlog(self, tmp_path):
         path = tmp_path / "requests.wal"
         self.seed_crashed_journal(path)

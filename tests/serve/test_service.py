@@ -77,6 +77,21 @@ def test_bad_options_rejected_as_structured_doc(service, client):
     assert doc["error"]["status"] == 400
 
 
+def test_removed_worker_count_option_is_a_bad_request(service, client):
+    # Options written for 2.x may still carry the engine worker count.
+    doc = client.verify("simple_safe", options={"jobs": 2})
+    assert doc["verdict"] == "unknown"
+    assert doc["failure"]["kind"] == "bad-request"
+    assert "jobs" in doc["error"]["message"]
+    assert service.statistics()["service"]["engine_runs"] == 0
+
+
+def test_health_reports_the_package_version(service, client):
+    from repro import __version__
+
+    assert client.health()["version"] == __version__
+
+
 def test_unknown_op_is_a_protocol_error(service, client):
     response = client.request({"op": "frobnicate"})
     assert response["ok"] is False

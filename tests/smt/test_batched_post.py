@@ -213,6 +213,24 @@ class TestMemoFastPath:
         assert checker.num_prepare_calls == 1
         assert checker.num_context_reuses == 1
 
+    def test_batch_consults_no_fault_hook(self, monkeypatch):
+        """Deciding posts never calls into the fault harness, so an engine
+        run pays nothing per undecided predicate for it."""
+        from repro.core import faults
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("post oracle fired a fault hook")
+
+        monkeypatch.setattr(faults, "fire", forbidden)
+        pool = _predicate_pool()
+        transition = sorted(get_program("forward").transitions, key=str)[0]
+        checker = VcChecker()
+        scalar = VcChecker(batched_posts=False)
+        assert checker.post_all_predicates(
+            frozenset(), transition, pool[:6]
+        ) == scalar.post_all_predicates(frozenset(), transition, pool[:6])
+        assert checker.num_batch_calls == 1
+
 
 class TestSolverContext:
     def test_context_agrees_with_check_sat(self):

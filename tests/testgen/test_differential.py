@@ -52,7 +52,7 @@ class TestCompareBitIdentical:
 
     def test_decided_vs_unknown_is_still_a_mismatch(self):
         variant = dict(self.RECORD, verdict="unknown")
-        (mismatch,) = _compare_bit_identical("parallel", self.RECORD, variant, ("a", "b"))
+        (mismatch,) = _compare_bit_identical("serve", self.RECORD, variant, ("a", "b"))
         assert mismatch.kind == "verdict"
 
     def test_counter_drift_is_reported_per_counter(self):
@@ -75,6 +75,13 @@ class TestOracles:
     def test_unknown_oracle_rejected(self):
         with pytest.raises(ValueError, match="unknown oracle"):
             run_oracle(parse_function(get_source("forward")), "nope")
+
+    def test_oracle_set(self):
+        # Every oracle compares two live engine configurations; the engine
+        # has one exploration path, so there is no worker-count oracle.
+        assert ORACLES == ("batched", "incremental", "portfolio", "serve")
+        with pytest.raises(ValueError, match="unknown oracle"):
+            run_oracle(parse_function(get_source("forward")), "parallel")
 
 
 class TestRunFuzz:
@@ -114,13 +121,13 @@ class TestCorpusPlumbing:
     def test_collision_appends_counter(self, tmp_path):
         for _ in range(2):
             mismatch = Mismatch(
-                oracle="parallel", kind="nodes", detail="d", seed=1,
+                oracle="serve", kind="nodes", detail="d", seed=1,
                 source=get_source("forward"),
             )
             write_reproducer(tmp_path, mismatch)
         assert sorted(p.name for p in tmp_path.glob("*.c")) == [
-            "parallel-seed1-1.c",
-            "parallel-seed1.c",
+            "serve-seed1-1.c",
+            "serve-seed1.c",
         ]
 
     def test_missing_oracle_header_rejected(self, tmp_path):
